@@ -23,14 +23,25 @@
 //
 // Three families of helpers serve the multilevel partitioner stack:
 //
-//   - Contractor/Contract build coarse graphs under a clustering,
+//   - Contractor.Contract builds coarse graphs under a clustering,
 //     aggregating vertex weights, merging parallel edges and dropping
-//     intra-cluster edges; BuildCoarse is the distributed form,
-//     contracting a block-distributed Graph collectively without ever
-//     gathering it.
+//     intra-cluster edges; CoarseAssembler.BuildCoarse is the
+//     distributed form, contracting a block-distributed Graph
+//     collectively without ever gathering it. It assembles the coarse
+//     CSR with a counting pass: routed contributions land in one bucket
+//     per local coarse vertex in canonical arrival order (source rank,
+//     then message order), each bucket is stably sorted by neighbor,
+//     and equal neighbors merge by summing in that order. Coarse edge
+//     weights of CONSTRUCT graphs are integer multiplicities, so the
+//     sums are exact and the result is independent of the order.
 //   - GhostExchange precomputes the boundary-exchange pattern of a
 //     distributed Graph — which home vertices each neighbor rank
-//     reads, derived locally thanks to the symmetric CSR — and moves
+//     reads, derived locally thanks to the symmetric CSR. Construction
+//     is linear in the rank's adjacency plus the id span it references
+//     on each owner rank: one pass resolves home slots
+//     and buckets remote slots by owner rank, and a dense window over
+//     each owner's block yields its ghost ids sorted and deduplicated,
+//     with no comparison sort or binary search. The exchange moves
 //     one value per boundary vertex (PushInts/PushFloats), or only
 //     the changed ones (UpdateInts, PushMarks). UpdateIntsTouched
 //     additionally reports which ghost slots changed, which is what
@@ -44,6 +55,8 @@
 // self-loop removal, directive validation) and Gather fidelity;
 // ghost_test.go pins the exchange pattern derivation, the dense and
 // incremental pushes, and the touched-slot report;
+// TestGhostExchangeMatchesReference and FuzzGhostExchange pin the
+// pattern against the sort-and-binary-search reference construction;
 // TestBuildCoarseMatchesSerialContract pins the distributed
 // contraction edge-for-edge against the serial Contractor. The
 // structure's role in the paper's pipeline is mapped in

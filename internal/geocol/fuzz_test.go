@@ -28,6 +28,8 @@ func fuzzEdges(data []byte, n int) (e1, e2 []int) {
 // known exactly because each pushed value is the sender's global
 // vertex id: after PushInts, ghost slot i must hold IDs[i]; after an
 // UpdateInts touching every third vertex, exactly those ghosts moved.
+// The derived pattern itself must match the sort-and-search reference
+// construction field for field.
 func FuzzGhostExchange(f *testing.F) {
 	f.Add([]byte{}, byte(0), byte(0))                             // minimal graph, single rank
 	f.Add([]byte{0, 0, 5, 5}, byte(3), byte(20))                  // self-loops only
@@ -51,6 +53,9 @@ func FuzzGhostExchange(f *testing.F) {
 				}
 				g := geocol.Build(c, n, geocol.WithLink(me1, me2))
 				ge := geocol.NewGhostExchange(c, g)
+				if d := geocol.GhostPatternMismatch(c, g, ge); d != "" {
+					t.Errorf("%v: rank %d: %s", backend, c.Rank(), d)
+				}
 
 				lo := g.Home.Lo(c.Rank())
 				localN := g.LocalN(c.Rank())

@@ -1,7 +1,9 @@
 package geocol
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chaos/internal/dist"
@@ -314,7 +316,7 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 
 	// Bucket fine vertices by coarse vertex (counting sort) so each
 	// coarse adjacency list is assembled in one contiguous scan.
-	start := ct.grow(&ct.start, nc+1)
+	start := growInts(&ct.start, nc+1)
 	for i := range start {
 		start[i] = 0
 	}
@@ -324,8 +326,8 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 	for c := 0; c < nc; c++ {
 		start[c+1] += start[c]
 	}
-	members := ct.grow(&ct.members, n)
-	next := ct.grow(&ct.next, nc)
+	members := growInts(&ct.members, n)
+	next := growInts(&ct.next, nc)
 	copy(next, start[:nc])
 	for v := 0; v < n; v++ {
 		members[next[cmap[v]]] = v
@@ -370,42 +372,40 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 	return cxadj, cadj, cew, cw
 }
 
-// grow returns (*s)[:n], reallocating only when the capacity is short.
-func (ct *Contractor) grow(s *[]int, n int) []int {
+// growInts returns (*s)[:n], reallocating only when the capacity is
+// short; the contents are not cleared.
+func growInts(s *[]int, n int) []int {
 	if cap(*s) < n {
 		*s = make([]int, n)
 	}
 	return (*s)[:n]
 }
 
-// Contract is the one-shot convenience form of Contractor.Contract.
-func Contract(xadj, adj []int, ew, w []float64, cmap []int, nc int) (cxadj, cadj []int, cew, cw []float64) {
-	var ct Contractor
-	return ct.Contract(xadj, adj, ew, w, cmap, nc)
-}
-
 // CoarseAssembler holds the reusable scratch of the distributed
 // contraction (BuildCoarse): the ghost copy of the clustering, the
-// per-rank weight/edge routing tables, and the contribution triples of
-// the local CSR assembly. Like Contractor it is plain per-goroutine
-// state — the zero value is ready, buffers grow to the steady-state
-// high-water mark and are reused across levels and epochs, and nothing
-// the caller retains aliases them (the coarse Graph is always freshly
-// allocated).
+// per-rank weight/edge routing tables, and the per-coarse-vertex
+// contribution buckets of the local CSR assembly. Like Contractor it is
+// plain per-goroutine state — the zero value is ready, buffers grow to
+// the steady-state high-water mark and are reused across levels and
+// epochs, and nothing the caller retains aliases them (the coarse Graph
+// is always freshly allocated).
 type CoarseAssembler struct {
 	ghostC []int
 	wIDs   [][]int
 	wVals  [][]float64
 	eIDs   [][]int
 	eW     [][]float64
-	tris   []coarseContrib
+	// end[l] is one past the end of local coarse vertex l's bucket in
+	// bucket, which holds the routed contributions grouped by source.
+	end    []int
+	bucket []coarseContrib
 }
 
-// coarseContrib is one routed fine-edge contribution: local coarse
-// source, global coarse neighbor, weight.
+// coarseContrib is one routed fine-edge contribution to a bucket:
+// global coarse neighbor and weight.
 type coarseContrib struct {
-	l, u int
-	w    float64
+	u int
+	w float64
 }
 
 // growRankInts sizes a per-rank routing table to procs entries and
@@ -433,13 +433,6 @@ func growRankFloats(s *[][]float64, procs int) [][]float64 {
 	return *s
 }
 
-// BuildCoarse is the one-shot convenience form of
-// CoarseAssembler.BuildCoarse.
-func BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchange, cmap []int, coarseN int) *Graph {
-	var a CoarseAssembler
-	return a.BuildCoarse(c, g, ge, cmap, coarseN)
-}
-
 // BuildCoarse is the distributed build path of the contraction: it
 // collectively contracts a block-distributed Graph under a clustering
 // without ever gathering it. cmap maps each of this rank's home-local
@@ -457,6 +450,18 @@ func BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchange, cmap []int, coarse
 // the coarse CSR comes out symmetric with identical weights on both
 // directions. Adjacency lists are sorted by neighbor id, making the
 // result independent of which ranks contributed which fine edges.
+//
+// Summation contract: the local CSR is assembled by a counting pass
+// keyed by the local coarse source, so the cost is linear in the
+// routed contributions. Contributions land in their source's bucket in
+// canonical arrival order (source rank, then message order); each
+// bucket is stably sorted by neighbor, and a run of equal neighbors
+// sums its weights in that order, starting from 0. The order only
+// matters for inexact float sums, and there are none on a ladder:
+// CONSTRUCT graphs are unweighted, so every coarse edge weight is an
+// integer multiplicity, and integer sums below 2^53 are exact in any
+// order. Both directions of a coarse edge therefore carry bitwise
+// equal weights.
 //
 // The returned Graph is block-distributed over coarseN vertices and
 // always carries LOAD weights (the aggregated member weights) and
@@ -524,49 +529,81 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 		}
 	}
 
-	// Assemble the local coarse CSR: collect contributions, sort by
-	// (local coarse vertex, neighbor), merge duplicates by summing.
-	tris := a.tris[:0]
+	// Assemble the local coarse CSR by the counting pass of the
+	// summation contract above: count, bucket in arrival order, then
+	// sort and merge each bucket.
+	end := growInts(&a.end, localN2)
+	clear(end)
+	for r := 0; r < procs; r++ {
+		ids := inEIDs[r]
+		for i := 0; i+1 < len(ids); i += 2 {
+			end[ids[i]-lo2]++
+		}
+	}
+	total := 0
+	for l, n := range end {
+		end[l] = total
+		total += n
+	}
+	if cap(a.bucket) < total {
+		a.bucket = make([]coarseContrib, total)
+	}
+	bucket := a.bucket[:total]
 	for r := 0; r < procs; r++ {
 		ids, ws := inEIDs[r], inEW[r]
 		for i := 0; i+1 < len(ids); i += 2 {
-			tris = append(tris, coarseContrib{ids[i] - lo2, ids[i+1], ws[i/2]})
+			l := ids[i] - lo2
+			bucket[end[l]] = coarseContrib{ids[i+1], ws[i/2]}
+			end[l]++
 		}
 	}
-	a.tris = tris
-	// sort.Slice, NOT slices.SortFunc: both are unstable, and equal
-	// (l,u) groups below sum their float weights in sort output order —
-	// the exact algorithm is part of the bit-identity contract.
-	sort.Slice(tris, func(a, b int) bool {
-		if tris[a].l != tris[b].l {
-			return tris[a].l < tris[b].l
-		}
-		return tris[a].u < tris[b].u
-	})
 	coarse.XAdj = make([]int, localN2+1)
-	// EdgeW stays non-nil even when this rank assembled no edges:
-	// Gather's EdgeW collective is gated on nil-ness, which must be
-	// rank-uniform in a bulk-synchronous machine.
-	coarse.EdgeW = make([]float64, 0, len(tris))
-	degSum := 0
-	for i := 0; i < len(tris); {
-		j := i
-		w := 0.0
-		for ; j < len(tris) && tris[j].l == tris[i].l && tris[j].u == tris[i].u; j++ {
-			w += tris[j].w
+	// Pre-sized to the contribution count, an upper bound on the merged
+	// degree sum. EdgeW stays non-nil even when this rank assembled no
+	// edges: Gather's EdgeW collective is gated on nil-ness, which must
+	// be rank-uniform in a bulk-synchronous machine.
+	coarse.Adj = make([]int, 0, total)
+	coarse.EdgeW = make([]float64, 0, total)
+	lo := 0
+	for l, hi := range end {
+		bk := bucket[lo:hi]
+		lo = hi
+		sortByNeighbor(bk)
+		for i := 0; i < len(bk); {
+			u, w := bk[i].u, 0.0
+			for ; i < len(bk) && bk[i].u == u; i++ {
+				w += bk[i].w
+			}
+			coarse.Adj = append(coarse.Adj, u)
+			coarse.EdgeW = append(coarse.EdgeW, w)
 		}
-		coarse.Adj = append(coarse.Adj, tris[i].u)
-		coarse.EdgeW = append(coarse.EdgeW, w)
-		coarse.XAdj[tris[i].l+1] = len(coarse.Adj)
-		degSum++
-		i = j
+		coarse.XAdj[l+1] = len(coarse.Adj)
 	}
-	for l := 0; l < localN2; l++ {
-		if coarse.XAdj[l+1] < coarse.XAdj[l] {
-			coarse.XAdj[l+1] = coarse.XAdj[l]
-		}
-	}
-	c.Words(3 * len(tris))
+	degSum := len(coarse.Adj)
+	c.Words(3 * total)
 	coarse.NEdges = c.SumInt(degSum) / 2
 	return coarse
+}
+
+// insertionMax is the bucket length up to which sortByNeighbor uses
+// insertion sort. Buckets are degree-sized, so nearly all of them are
+// short; a hub's bucket can hold a contribution per fine vertex, and
+// the quadratic insertion sort would dominate there.
+const insertionMax = 48
+
+// sortByNeighbor stably sorts a contribution bucket by neighbor id, so
+// equal neighbors keep their arrival order for the merge.
+func sortByNeighbor(b []coarseContrib) {
+	if len(b) > insertionMax {
+		slices.SortStableFunc(b, func(x, y coarseContrib) int { return cmp.Compare(x.u, y.u) })
+		return
+	}
+	for i := 1; i < len(b); i++ {
+		x := b[i]
+		j := i
+		for ; j > 0 && b[j-1].u > x.u; j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = x
+	}
 }

@@ -218,7 +218,8 @@ func TestContractAggregation(t *testing.T) {
 	ew := []float64{1, 1, 2, 2, 3, 3}
 	w := []float64{1, 2, 3, 4}
 	cmap := []int{0, 0, 1, 1}
-	cxadj, cadj, cew, cw := Contract(xadj, adj, ew, w, cmap, 2)
+	var ct Contractor
+	cxadj, cadj, cew, cw := ct.Contract(xadj, adj, ew, w, cmap, 2)
 	if want := []int{0, 1, 2}; !reflect.DeepEqual(cxadj, want) {
 		t.Errorf("cxadj = %v, want %v", cxadj, want)
 	}

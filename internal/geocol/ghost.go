@@ -82,24 +82,41 @@ func (ge *GhostExchange) Bytes() int {
 }
 
 // NewGhostExchange derives the exchange pattern of g; purely local.
+//
+// The construction is linear in the rank's adjacency plus the id span
+// it references on each owner, with no comparison sort and no binary
+// search. One pass over the CSR resolves every home slot of Loc, builds
+// the send lists, and counts the remote slots per owner rank, tagging
+// each with its owner. A counting pass then buckets the remote slots by
+// owner. For each owner in rank order, the referenced ids are marked in
+// a dense window over that owner's block; scanning the marked span
+// yields the owner's run of IDs sorted and deduplicated, and leaves
+// each id's ghost slot in the window for the Loc fill. BLOCK ownership
+// makes the per-owner runs concatenate into the globally sorted IDs,
+// with recvStart at the run boundaries.
 func NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
 	me, procs := c.Rank(), c.Procs()
+	lo, localN := g.Home.Lo(me), g.LocalN(me)
 	ge := &GhostExchange{
-		lo:   g.Home.Lo(me),
-		send: make([][]int, procs),
+		lo:        lo,
+		send:      make([][]int, procs),
+		Loc:       make([]int, len(g.Adj)),
+		recvStart: make([]int, procs+1),
 	}
-	localN := g.LocalN(me)
-	// Collect the remote endpoint of every edge, then sort and dedup:
-	// the ghost id list and each rank's send list come out of one flat
-	// pass with no map.
-	remote := make([]int, 0, len(g.Adj))
+	// Pass 1: home slots get their home index; remote slots are tagged
+	// -(owner+1) until the window pass below overwrites them, and
+	// counted into their owner's bucket.
+	end := make([]int, procs)
 	for l := 0; l < localN; l++ {
-		for _, v := range g.Neighbors(l) {
-			r := g.Home.Owner(v)
-			if r == me {
+		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
+			v := g.Adj[k]
+			if h := v - lo; h >= 0 && h < localN {
+				ge.Loc[k] = h
 				continue
 			}
-			remote = append(remote, v)
+			r := g.Home.Owner(v)
+			ge.Loc[k] = -(r + 1)
+			end[r]++
 			// l's ascend in the outer loop, so adjacent-duplicate
 			// suppression dedups each rank's send list.
 			if s := ge.send[r]; len(s) == 0 || s[len(s)-1] != l {
@@ -107,34 +124,59 @@ func NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
 			}
 		}
 	}
-	sort.Ints(remote)
-	for i, v := range remote {
-		if i == 0 || v != remote[i-1] {
-			ge.IDs = append(ge.IDs, v)
+	// Counting pass: bucket the remote slots by owner, ascending slot
+	// order within each bucket. After the fill end[r] is one past the
+	// end of bucket r, so bucket r spans [end[r-1], end[r]).
+	nRemote := 0
+	for r, n := range end {
+		end[r] = nRemote
+		nRemote += n
+	}
+	slots := make([]int, nRemote)
+	for k, loc := range ge.Loc {
+		if loc < 0 {
+			r := -loc - 1
+			slots[end[r]] = k
+			end[r]++
 		}
 	}
-	ge.recvStart = make([]int, procs+1)
-	r := 0
-	for i, v := range ge.IDs {
-		for owner := g.Home.Owner(v); r < owner; {
-			r++
-			ge.recvStart[r] = i
+	// Window pass, one owner at a time. A window entry is 0 when
+	// unreferenced, 1 once marked, and the encoded Loc value -(slot+1)
+	// after the scan; each owner's entries are zeroed again before the
+	// next owner reuses the window.
+	var window []int
+	if nRemote > 0 {
+		window = make([]int, g.Home.LocalSize(0)) // BLOCK: rank 0's block is the largest
+	}
+	b := 0
+	for r := 0; r < procs; r++ {
+		ge.recvStart[r] = len(ge.IDs)
+		bucket := slots[b:end[r]]
+		b = end[r]
+		if len(bucket) == 0 {
+			continue
+		}
+		base := g.Home.Lo(r)
+		first, last := len(window), -1
+		for _, k := range bucket {
+			i := g.Adj[k] - base
+			window[i] = 1
+			first, last = min(first, i), max(last, i)
+		}
+		for i := first; i <= last; i++ {
+			if window[i] != 0 {
+				window[i] = -(len(ge.IDs) + 1)
+				ge.IDs = append(ge.IDs, base+i)
+			}
+		}
+		for _, k := range bucket {
+			ge.Loc[k] = window[g.Adj[k]-base]
+		}
+		for _, v := range ge.IDs[ge.recvStart[r]:] {
+			window[v-base] = 0
 		}
 	}
-	for ; r < procs; r++ {
-		ge.recvStart[r+1] = len(ge.IDs)
-	}
-	// Localize the CSR once: every adjacency slot resolves to a home
-	// index or a ghost slot here, never again in the sweeps. The
-	// assembly rides in the same inspector charge as the pattern scan.
-	ge.Loc = make([]int, len(g.Adj))
-	for k, v := range g.Adj {
-		if g.Home.Owner(v) == me {
-			ge.Loc[k] = v - ge.lo
-		} else {
-			ge.Loc[k] = -(sort.SearchInts(ge.IDs, v) + 1)
-		}
-	}
+	ge.recvStart[procs] = len(ge.IDs)
 	c.Words(localN + 2*len(ge.IDs))
 	ge.sendInts = make([][]int, procs)
 	ge.sendFloats = make([][]float64, procs)

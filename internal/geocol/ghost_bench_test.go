@@ -1,6 +1,7 @@
 package geocol
 
 import (
+	"fmt"
 	"testing"
 
 	"chaos/internal/machine"
@@ -58,4 +59,66 @@ func BenchmarkHotGhostExchange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// hotLevelBench runs op once per b.N iteration on every rank of a P=8
+// machine, over the 21952-node mesh at ladder level 0 and at level 1
+// (one coarsen step). The level's graph, exchange pattern and
+// clustering are built, and op is run once to warm its scratch, before
+// the timer starts.
+func hotLevelBench(b *testing.B, op func(c *machine.Ctx, g *Graph, ge *GhostExchange, cmap []int, coarseN int)) {
+	m := mesh.Generate(21000, 11)
+	const p = 8
+	for _, level := range []int{0, 1} {
+		b.Run(fmt.Sprintf("level=%d", level), func(b *testing.B) {
+			b.ReportAllocs()
+			err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+				g := meshGraph(c, m)
+				for i := 0; i < level; i++ {
+					g = coarsen(c, g)
+				}
+				ge := NewGhostExchange(c, g)
+				cmap, coarseN := localMatchCmap(c, g)
+				op(c, g, ge, cmap, coarseN) // warm
+				c.SumInt(0)                 // barrier: all ranks warmed before the timer resets
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				// A second barrier holds every rank until the reset is
+				// done: a GhostBuild op has no collective of its own,
+				// so a rank could otherwise run ahead of the reset and
+				// drop its first ops' allocations from the count.
+				c.SumInt(0)
+				for i := 0; i < b.N; i++ {
+					op(c, g, ge, cmap, coarseN)
+				}
+				c.SumInt(0)
+				if c.Rank() == 0 {
+					b.StopTimer()
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkHotBuildCoarse is one distributed contraction per op with a
+// warm per-rank CoarseAssembler. What it allocates per op is the
+// AlltoAll transport floor plus the returned coarse Graph.
+func BenchmarkHotBuildCoarse(b *testing.B) {
+	var asm [8]CoarseAssembler
+	hotLevelBench(b, func(c *machine.Ctx, g *Graph, ge *GhostExchange, cmap []int, coarseN int) {
+		asm[c.Rank()].BuildCoarse(c, g, ge, cmap, coarseN)
+	})
+}
+
+// BenchmarkHotGhostBuild is one exchange-pattern construction per op.
+// The pattern is the product, so its index arrays and send buffers are
+// what it allocates.
+func BenchmarkHotGhostBuild(b *testing.B) {
+	hotLevelBench(b, func(c *machine.Ctx, g *Graph, _ *GhostExchange, _ []int, _ int) {
+		NewGhostExchange(c, g)
+	})
 }

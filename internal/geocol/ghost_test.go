@@ -1,6 +1,7 @@
 package geocol
 
 import (
+	"slices"
 	"testing"
 
 	"chaos/internal/machine"
@@ -80,74 +81,96 @@ func TestGhostExchangePush(t *testing.T) {
 }
 
 // TestBuildCoarseMatchesSerialContract pins the distributed build path
-// against the serial Contractor on a real mesh: contracting the
-// block-distributed graph under a global clustering and gathering the
-// result must agree edge-for-edge (as weighted neighbor sets; the two
-// paths order adjacency differently) with contracting the gathered
-// graph serially.
+// against the serial Contractor on a real mesh and on a star, whose hub
+// bucket is long enough to take the assembler's merge-sort path:
+// contracting the block-distributed graph under a global clustering and
+// gathering the result must agree edge-for-edge (as weighted neighbor
+// sets; the two paths order adjacency differently) with contracting the
+// gathered graph serially.
 func TestBuildCoarseMatchesSerialContract(t *testing.T) {
 	m := mesh.Generate(600, 13)
 	const p = 4
-	// Global clustering: pair consecutive ids (crosses every rank
-	// boundary), so both paths see identical cluster membership.
-	coarseN := (m.NNode + 1) / 2
-	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		eb := m.NEdge() / p
-		elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
-		if c.Rank() == p-1 {
-			ehi = m.NEdge()
+	star := func(n int) (e1, e2 []int) {
+		for v := 1; v < n; v++ {
+			e1, e2 = append(e1, 0), append(e2, v)
 		}
-		g := Build(c, m.NNode, WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
-		lo := g.Home.Lo(c.Rank())
-		cmap := make([]int, g.LocalN(c.Rank()))
-		for l := range cmap {
-			cmap[l] = (lo + l) / 2
-		}
-		ge := NewGhostExchange(c, g)
-		coarse := BuildCoarse(c, g, ge, cmap, coarseN)
+		return e1, e2
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		build func(c *machine.Ctx) *Graph
+	}{
+		{"mesh", m.NNode, func(c *machine.Ctx) *Graph { return meshGraph(c, m) }},
+		{"star", 401, func(c *machine.Ctx) *Graph {
+			var e1, e2 []int
+			if c.Rank() == 0 {
+				e1, e2 = star(401)
+			}
+			return Build(c, 401, WithLink(e1, e2))
+		}},
+	} {
+		// Global clustering: pair consecutive ids (crosses every rank
+		// boundary), so both paths see identical cluster membership.
+		coarseN := (tc.n + 1) / 2
+		err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+			g := tc.build(c)
+			lo := g.Home.Lo(c.Rank())
+			cmap := make([]int, g.LocalN(c.Rank()))
+			for l := range cmap {
+				cmap[l] = (lo + l) / 2
+			}
+			ge := NewGhostExchange(c, g)
+			var asm CoarseAssembler
+			coarse := asm.BuildCoarse(c, g, ge, cmap, coarseN)
 
-		cf := coarse.Gather(c)
-		f := g.Gather(c)
-		if c.Rank() != 0 {
-			return
-		}
-		gmap := make([]int, f.N)
-		for v := range gmap {
-			gmap[v] = v / 2
-		}
-		sxadj, sadj, sew, sw := Contract(f.XAdj, f.Adj, f.EdgeW, f.Weights, gmap, coarseN)
+			cf := coarse.Gather(c)
+			f := g.Gather(c)
+			if c.Rank() != 0 {
+				return
+			}
+			gmap := make([]int, f.N)
+			for v := range gmap {
+				gmap[v] = v / 2
+			}
+			var ct Contractor
+			sxadj, sadj, sew, sw := ct.Contract(f.XAdj, f.Adj, f.EdgeW, f.Weights, gmap, coarseN)
 
-		for cv := 0; cv < coarseN; cv++ {
-			if cf.Weights[cv] != sw[cv] {
-				t.Errorf("coarse vertex %d weight %g, serial %g", cv, cf.Weights[cv], sw[cv])
-			}
-			want := map[int]float64{}
-			for k := sxadj[cv]; k < sxadj[cv+1]; k++ {
-				want[sadj[k]] = sew[k]
-			}
-			got := map[int]float64{}
-			for k := cf.XAdj[cv]; k < cf.XAdj[cv+1]; k++ {
-				got[cf.Adj[k]] = cf.EdgeW[k]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("coarse vertex %d has %d neighbors, serial %d", cv, len(got), len(want))
-			}
-			for u, w := range want {
-				if got[u] != w {
-					t.Errorf("coarse edge (%d,%d) weight %g, serial %g", cv, u, got[u], w)
+			for cv := 0; cv < coarseN; cv++ {
+				if cf.Weights[cv] != sw[cv] {
+					t.Errorf("%s: coarse vertex %d weight %g, serial %g", tc.name, cv, cf.Weights[cv], sw[cv])
+				}
+				want := map[int]float64{}
+				for k := sxadj[cv]; k < sxadj[cv+1]; k++ {
+					want[sadj[k]] = sew[k]
+				}
+				got := map[int]float64{}
+				for k := cf.XAdj[cv]; k < cf.XAdj[cv+1]; k++ {
+					got[cf.Adj[k]] = cf.EdgeW[k]
+				}
+				if !slices.IsSorted(cf.Adj[cf.XAdj[cv]:cf.XAdj[cv+1]]) {
+					t.Errorf("%s: coarse vertex %d adjacency not sorted", tc.name, cv)
+				}
+				if len(got) != len(want) || len(got) != cf.XAdj[cv+1]-cf.XAdj[cv] {
+					t.Fatalf("%s: coarse vertex %d has %d neighbors, serial %d", tc.name, cv, len(got), len(want))
+				}
+				for u, w := range want {
+					if got[u] != w {
+						t.Errorf("%s: coarse edge (%d,%d) weight %g, serial %g", tc.name, cv, u, got[u], w)
+					}
 				}
 			}
+			deg := 0
+			for cv := 0; cv < coarseN; cv++ {
+				deg += sxadj[cv+1] - sxadj[cv]
+			}
+			if cf.NEdges != deg/2 {
+				t.Errorf("%s: coarse NEdges %d, serial %d", tc.name, cf.NEdges, deg/2)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		deg := 0
-		for cv := 0; cv < coarseN; cv++ {
-			deg += sxadj[cv+1] - sxadj[cv]
-		}
-		if cf.NEdges != deg/2 {
-			t.Errorf("coarse NEdges %d, serial %d", cf.NEdges, deg/2)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -168,7 +191,8 @@ func TestBuildCoarseAggregatesWeights(t *testing.T) {
 			cmap[l] = ((lo + l + n - 1) % n) / 2
 		}
 		ge := NewGhostExchange(c, g)
-		coarse := BuildCoarse(c, g, ge, cmap, n/2)
+		var asm CoarseAssembler
+		coarse := asm.BuildCoarse(c, g, ge, cmap, n/2)
 		cf := coarse.Gather(c)
 		if c.Rank() == 0 {
 			// Cluster k = {2k+1, 2k+2 mod n}; weight of vertex v is v+1.

@@ -10,7 +10,7 @@ import (
 // coarsening: heavy-edge matching over the block-distributed GeoCoL
 // graph, with the cross-rank handshake resolved by AlltoAll exchanges,
 // plus the global numbering of the resulting coarse vertices. Together
-// with geocol.BuildCoarse this forms one level of the parallel
+// with geocol.CoarseAssembler this forms one level of the parallel
 // coarsening ladder (pmultilevel.go) — the per-rank work is
 // proportional to the rank's slice of the graph, which is what makes
 // the partitioner's virtual time fall with the processor count.

@@ -10,7 +10,7 @@ import (
 
 // This file is the parallel V-cycle of the multilevel partitioner: the
 // coarsening ladder runs distributed over the simulated machine
-// (pcoarsen.go + geocol.BuildCoarse), only the coarsest level is
+// (pcoarsen.go + geocol.CoarseAssembler), only the coarsest level is
 // gathered for the serial spectral solve (plus a k-way FM polish), and
 // the k-way partition is projected back up level by level with the
 // hill-climbing distributed FM refinement of prefine.go. Matching,
